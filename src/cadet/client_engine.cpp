@@ -1,6 +1,7 @@
 #include "cadet/client_engine.h"
 
 #include <algorithm>
+#include <array>
 
 namespace cadet {
 namespace {
@@ -21,7 +22,6 @@ ClientEngine::ClientEngine(const Config& config)
     : first_id_(config.first_id),
       count_(config.count),
       pool_capacity_(config.pool_capacity_bits),
-      usage_decay_(config.usage_decay),
       rng_(config.count),
       pool_bits_(config.count, 0),
       usage_(config.count, 0.0F),
@@ -48,6 +48,18 @@ ClientEngine::ClientEngine(const Config& config)
       }
     }
   }
+}
+
+const float* ClientEngine::decay_powers() noexcept {
+  static const std::array<float, kDecayTableSize> table = [] {
+    std::array<float, kDecayTableSize> powers{};
+    for (std::uint32_t lag = 0; lag < kDecayTableSize; ++lag) {
+      powers[lag] = static_cast<float>(
+          std::pow(kUsageDecay, static_cast<double>(lag)));
+    }
+    return powers;
+  }();
+  return table.data();
 }
 
 ClientEngine::HeavyScan ClientEngine::heavy_scan(

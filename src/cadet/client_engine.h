@@ -16,8 +16,9 @@
 // Economics semantics mirror the full protocol engines (usage.h, penalty.h,
 // config.h): EWMA usage with decay kUsageDecay, lazily applied — scores
 // decay by pow(decay, steps-since-last-touch) on access instead of an
-// O(population) sweep per packet — and a robust median + 1.4826 * MAD
-// heavy threshold with the kUsageHeavyMedianRatio relative floor.
+// O(population) sweep per packet, read from one power table shared by all
+// engines — and a robust median + 1.4826 * MAD heavy threshold with the
+// kUsageHeavyMedianRatio relative floor.
 #pragma once
 
 #include <cmath>
@@ -48,7 +49,6 @@ class ClientEngine {
     std::uint32_t count = 0;
     std::uint32_t pool_capacity_bits =
         static_cast<std::uint32_t>(kClientBufferBits);
-    double usage_decay = kUsageDecay;
   };
 
   explicit ClientEngine(const Config& config);
@@ -155,9 +155,17 @@ class ClientEngine {
   float usage_score(std::uint32_t i, std::uint32_t step) const noexcept {
     const std::uint32_t lag = step - usage_step_[i];
     if (lag == 0) return usage_[i];
+    if (lag < kDecayTableSize) return usage_[i] * decay_pow_[lag];
     return usage_[i] *
-           static_cast<float>(std::pow(usage_decay_, static_cast<double>(lag)));
+           static_cast<float>(std::pow(kUsageDecay, static_cast<double>(lag)));
   }
+
+  /// decay_powers()[lag] == static_cast<float>(pow(kUsageDecay, lag)) for
+  /// lag < kDecayTableSize — the exact value the pow fallback computes, so
+  /// the table changes speed, never a score. One 16 KiB table serves every
+  /// engine; a sharded world builds thousands of engines.
+  static constexpr std::uint32_t kDecayTableSize = 4096;
+  static const float* decay_powers() noexcept;
 
   /// Add penalty points (negative redeems); clamped to [0, kMaxPenalty].
   /// Sets kBlacklisted at the ceiling and returns the new score.
@@ -202,7 +210,8 @@ class ClientEngine {
   std::uint32_t first_id_ = 0;
   std::uint32_t count_ = 0;
   std::uint32_t pool_capacity_ = 0;
-  double usage_decay_ = kUsageDecay;
+  const float* decay_pow_ = decay_powers();  // cached: skips the static's
+                                             // init guard on the hot path
 
   std::vector<std::uint64_t> rng_;
   std::vector<std::uint32_t> pool_bits_;

@@ -185,8 +185,11 @@ class Simulator {
 
   /// The slab is chunked (deque-style) so cells never move when it grows:
   /// step() relies on that to invoke callbacks in place, and a callback may
-  /// grow the slab by scheduling.
-  static constexpr std::size_t kSlabChunkShift = 9;
+  /// grow the slab by scheduling. Chunks are 64 cells (4 KiB): a chunk is
+  /// allocated and constructed whole, so the chunk size is the footprint
+  /// floor of every simulator — and a sharded world holds thousands of
+  /// small ones.
+  static constexpr std::size_t kSlabChunkShift = 6;
   static constexpr std::size_t kSlabChunkSize = std::size_t{1}
                                                 << kSlabChunkShift;
 

@@ -185,6 +185,7 @@ ScaleWorld::ScaleWorld(const ScaleConfig& config)
   server_.sim.schedule_at(kSourcePeriodNs, [this] { server_source_tick(); });
 
   shards_.reserve(num_edges);
+  inbox_.resize(num_edges + 1);
   for (std::size_t k = 0; k < num_edges; ++k) {
     auto shard = std::make_unique<EdgeShard>();
     shard->index = static_cast<std::uint32_t>(k);
@@ -262,7 +263,8 @@ std::uint64_t ScaleWorld::run(const Executor& executor) {
       for (std::size_t s = 0; s < num_shards(); ++s) step_shard(s);
     }
     // Single-threaded barrier: merge in {time, seq, shard} order and
-    // inject into the destination shards for the next window. A drain
+    // hand each event to its destination shard's inbox; the shard's next
+    // task schedules it (step_shard). A drain
     // reporting a lookahead violation is a protocol bug — it is counted
     // (merge_.violations(), surfaced as a metric and a non-zero tool
     // exit) but the events still inject so conservation holds and the
@@ -292,13 +294,11 @@ std::uint64_t ScaleWorld::run(const Executor& executor) {
 }
 
 void ScaleWorld::step_shard(std::size_t s) {
+  sim::Simulator& sim = s < shards_.size() ? shards_[s]->sim : server_.sim;
+  deliver_inbox(s, sim);
   // Events inside [window_start, window_end) — run_until is inclusive, so
   // stop one tick short of the boundary.
-  if (s < shards_.size()) {
-    shards_[s]->sim.run_until(window_end_ - 1);
-  } else {
-    server_.sim.run_until(window_end_ - 1);
-  }
+  sim.run_until(window_end_ - 1);
 }
 
 void ScaleWorld::inject(const sim::BoundaryEvent& event) {
@@ -322,39 +322,51 @@ void ScaleWorld::inject(const sim::BoundaryEvent& event) {
              util::to_seconds(event.time - event.emit_ts));
     plane_.boundary().emit(cross);
   }
-  const std::uint64_t ctx = event.ctx;
+  // Route by kind, and reject an unknown kind here on the barrier thread
+  // rather than inside a worker's task.
   switch (event.kind) {
-    case kRefillReq: {
-      const std::uint32_t edge = static_cast<std::uint32_t>(event.a);
-      const std::uint64_t bytes = event.b;
-      server_.sim.schedule_at(event.time, [this, edge, bytes, ctx] {
-        server_refill(edge, bytes, ctx);
-      });
+    case kRefillReq:
+    case kUploadFwd:
+      inbox_[shards_.size()].push_back(event);
       break;
-    }
-    case kUploadFwd: {
-      const std::uint64_t bytes = event.b;
-      server_.sim.schedule_at(
-          event.time, [this, bytes, ctx] { server_upload(bytes, ctx); });
+    case kRefillData:
+      inbox_[event.dst].push_back(event);
       break;
-    }
-    case kRefillData: {
-      const std::uint32_t s = event.dst;
-      const std::uint64_t bytes = event.b;
-      shards_[s]->sim.schedule_at(event.time, [this, s, bytes, ctx] {
-        edge_refill(s, bytes, ctx);
-      });
-      break;
-    }
     default:
       throw std::logic_error("ScaleWorld: unknown boundary event kind");
   }
+}
+
+void ScaleWorld::deliver_inbox(std::size_t s, sim::Simulator& sim) {
+  std::vector<sim::BoundaryEvent>& inbox = inbox_[s];
+  for (const sim::BoundaryEvent& event : inbox) {
+    const std::uint64_t bytes = event.b;
+    const std::uint64_t ctx = event.ctx;
+    if (event.kind == kRefillReq) {
+      const std::uint32_t edge = static_cast<std::uint32_t>(event.a);
+      sim.schedule_at(event.time, [this, edge, bytes, ctx] {
+        server_refill(edge, bytes, ctx);
+      });
+    } else if (event.kind == kUploadFwd) {
+      sim.schedule_at(event.time,
+                      [this, bytes, ctx] { server_upload(bytes, ctx); });
+    } else {
+      const std::uint32_t dst = event.dst;
+      sim.schedule_at(event.time, [this, dst, bytes, ctx] {
+        edge_refill(dst, bytes, ctx);
+      });
+    }
+  }
+  inbox.clear();
 }
 
 bool ScaleWorld::idle() const noexcept {
   if (!server_.sim.empty()) return false;
   for (const std::unique_ptr<EdgeShard>& shard : shards_) {
     if (!shard->sim.empty()) return false;
+  }
+  for (const std::vector<sim::BoundaryEvent>& inbox : inbox_) {
+    if (!inbox.empty()) return false;
   }
   return true;
 }
@@ -994,6 +1006,9 @@ std::size_t ScaleWorld::memory_bytes() const noexcept {
                       server_.sim.memory_bytes() + plane_.memory_bytes() +
                       published_shard_events_.capacity() *
                           sizeof(std::uint64_t);
+  for (const std::vector<sim::BoundaryEvent>& inbox : inbox_) {
+    total += sizeof(inbox) + inbox.capacity() * sizeof(sim::BoundaryEvent);
+  }
   for (const std::unique_ptr<EdgeShard>& shard : shards_) {
     total += sizeof(EdgeShard) + shard->sim.memory_bytes() +
              shard->engine->memory_bytes() +

@@ -14,14 +14,21 @@
 //     intra-shard, edge<->server traffic crosses through the conservative
 //     MergeQueue (sim/merge_queue.h) ordered by {time, seq, shard}.
 //   * Execution is windowed: every shard runs [t, t + W) to completion,
-//     then a single-threaded barrier drains the merge queue and injects
-//     the boundary events, with W equal to the minimum edge<->server
-//     latency so no event can arrive inside the window that emitted it.
-//     The window bodies may run on any executor (tools hand in
-//     util::TaskPool the way cadet_sweep fans out across seeds); because
-//     shards touch disjoint state inside a window and the barrier is
-//     deterministic, same-seed traces are byte-identical for any -j —
-//     checksum() is the witness the determinism tests pin.
+//     then a single-threaded barrier drains the merge queue in merged
+//     order, folds the boundary checksum and crossing observables, and
+//     appends each event to its destination shard's inbox, with W equal
+//     to the minimum edge<->server latency so no event can arrive inside
+//     the window that emitted it. Each shard's next task schedules its
+//     inbox, in merged order, before stepping — so the cold per-shard
+//     heaps are touched from the parallel tasks, not the serial barrier.
+//     Nothing else is scheduled on a shard between the barrier and its
+//     task, so the simulator hands out the same sequence numbers as an
+//     injection at the barrier would. The window bodies may run on any
+//     executor (tools hand in util::TaskPool the way cadet_sweep fans out
+//     across seeds); because shards touch disjoint state inside a window
+//     and the barrier is deterministic, same-seed traces are
+//     byte-identical for any -j — checksum() is the witness the
+//     determinism tests pin.
 //
 // Faults mirror the FaultPlan idioms at shard granularity: iid datagram
 // loss on the client<->edge wire and edge crash windows (an offline edge
@@ -252,7 +259,11 @@ class ScaleWorld {
   static constexpr std::uint32_t kUploadFwd = 3;
 
   void step_shard(std::size_t s);
+  /// Barrier half of a boundary delivery: checksum, crossing observables,
+  /// and the append to the destination shard's inbox.
   void inject(const sim::BoundaryEvent& event);
+  /// Task half: schedule shard `s`'s inbox, in merged order, and clear it.
+  void deliver_inbox(std::size_t s, sim::Simulator& sim);
   bool idle() const noexcept;
 
   // Intra-shard event bodies (client<->edge); `s` is the shard index.
@@ -291,6 +302,11 @@ class ScaleWorld {
   std::vector<std::unique_ptr<EdgeShard>> shards_;
   ServerShard server_;
   sim::MergeQueue merge_;
+  /// Boundary events merged at the last barrier, by destination shard
+  /// (server last), waiting for that shard's next task. One dense array so
+  /// the per-window emptiness checks walk contiguous memory instead of one
+  /// cold cache line per shard.
+  std::vector<std::vector<sim::BoundaryEvent>> inbox_;
   std::uint64_t boundary_injected_ = 0;
   std::uint64_t boundary_checksum_ = 0xcbf29ce484222325ULL;
 

@@ -4,6 +4,9 @@
 // client count, and statistical-test sanity across input scales.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <ostream>
+
 #include "cadet/cadet.h"
 #include "entropy/pool.h"
 #include "entropy/sources.h"
@@ -105,6 +108,13 @@ struct PenaltyCase {
   PenaltyScheme scheme;
   DropCurve curve;
 };
+
+// Stable test names: gtest's default byte dump of this struct embeds the
+// scheme name's data pointer, which changes from run to run.
+void PrintTo(const PenaltyCase& c, std::ostream* os) {
+  *os << c.scheme.name << ", "
+      << (c.curve == DropCurve::kLinear ? "linear" : "sigmoid") << " curve";
+}
 
 class PenaltySweep : public ::testing::TestWithParam<PenaltyCase> {};
 
@@ -214,6 +224,13 @@ struct BiasCase {
   double bias;
   bool should_pass_frequency;
 };
+
+// Stable test names: the default byte dump includes the struct's
+// uninitialised padding bytes.
+void PrintTo(const BiasCase& c, std::ostream* os) {
+  *os << "bias " << std::fixed << std::setprecision(2) << c.bias
+      << (c.should_pass_frequency ? ", expect pass" : ", expect fail");
+}
 
 class FrequencyBias : public ::testing::TestWithParam<BiasCase> {};
 

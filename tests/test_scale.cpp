@@ -80,6 +80,30 @@ TEST(ClientEngine, LazyUsageDecayMatchesExplicit) {
   EXPECT_FLOAT_EQ(engine.usage_score(0, 35), touched);
 }
 
+TEST(ClientEngine, DecayPowerTableMatchesPow) {
+  const float* table = ClientEngine::decay_powers();
+  for (std::uint32_t lag = 0; lag < ClientEngine::kDecayTableSize; ++lag) {
+    ASSERT_EQ(table[lag], static_cast<float>(std::pow(
+                              kUsageDecay, static_cast<double>(lag))))
+        << "lag " << lag;
+  }
+  // usage_score reads the table inside it and falls back to pow past it;
+  // both must give the pow value bit for bit.
+  ClientEngine::Config config;
+  config.seed = 11;
+  config.count = 1;
+  ClientEngine engine(config);
+  engine.usage_touch(0, 0, 1.0F);
+  for (const std::uint32_t lag :
+       {1u, 25u, ClientEngine::kDecayTableSize - 1,
+        ClientEngine::kDecayTableSize + 1}) {
+    EXPECT_EQ(engine.usage_score(0, lag),
+              static_cast<float>(
+                  std::pow(kUsageDecay, static_cast<double>(lag))))
+        << "lag " << lag;
+  }
+}
+
 TEST(ClientEngine, PoolCursorAndPendingSlot) {
   ClientEngine::Config config;
   config.seed = 3;
@@ -194,6 +218,25 @@ TEST(ScaleWorld, SameSeedTracesAreExecutorIndependent) {
   EXPECT_EQ(sequential.events_executed(), pooled2.events_executed());
   expect_stats_eq(sequential.stats(), pooled.stats());
   expect_stats_eq(sequential.stats(), pooled2.stats());
+}
+
+// Speed-only witness: dispatch, boundary delivery and simulator layout
+// changes must leave the model untouched, so small_config()'s checksum and
+// event count are pinned at j1 and j4. A model change re-pins them, with a
+// written justification and an equivalence test.
+TEST(ScaleWorld, ChecksumPinnedAtJ1AndJ4) {
+  constexpr std::uint64_t kPinnedChecksum = 0x2891f91047b8cb4eULL;
+  constexpr std::uint64_t kPinnedEvents = 13743;
+  const ScaleConfig config = small_config();
+  ScaleWorld serial(config);
+  serial.run();
+  util::TaskPool pool(4);
+  ScaleWorld pooled(config);
+  pooled.run(pool_executor(pool));
+  EXPECT_EQ(serial.checksum(), kPinnedChecksum);
+  EXPECT_EQ(pooled.checksum(), kPinnedChecksum);
+  EXPECT_EQ(serial.events_executed(), kPinnedEvents);
+  EXPECT_EQ(pooled.events_executed(), kPinnedEvents);
 }
 
 TEST(ScaleWorld, DifferentSeedsDiverge) {

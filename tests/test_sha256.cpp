@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "util/bytes.h"
@@ -27,6 +28,14 @@ struct ShaVector {
   std::string message;
   std::string digest_hex;
 };
+
+// Names each case by its message length and digest prefix, so the test
+// name is stable across runs rather than a byte dump of the string
+// members (which embeds their data pointers).
+void PrintTo(const ShaVector& v, std::ostream* os) {
+  *os << v.message.size() << "-byte message, digest "
+      << v.digest_hex.substr(0, 8);
+}
 
 class Sha256Vectors : public ::testing::TestWithParam<ShaVector> {};
 
