@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "obs/hdr.h"
-#include "obs/sharded.h"
 #include "obs/trace.h"
 
 namespace cadet::obs {
@@ -34,7 +33,7 @@ bool parse_double(const std::string& s, double& out) {
 
 // Aggregated live readings for one metric family (every label set summed).
 struct FamilyReading {
-  double counter = 0.0;    // counters + sharded counters
+  double counter = 0.0;
   double gauge = 0.0;
   double hdr_count = 0.0;  // HDR observation count
   double hdr_above = 0.0;  // HDR observations above the rule threshold
@@ -51,14 +50,8 @@ FamilyReading read_family(const Registry& registry, const std::string& name,
       case Registry::Kind::kCounter:
         reading.counter += static_cast<double>(entry.counter->value());
         break;
-      case Registry::Kind::kShardedCounter:
-        reading.counter += static_cast<double>(entry.sharded->value());
-        break;
       case Registry::Kind::kGauge:
         reading.gauge += static_cast<double>(entry.gauge->value());
-        break;
-      case Registry::Kind::kHistogram:
-        reading.hdr_count += static_cast<double>(entry.histogram->count());
         break;
       case Registry::Kind::kHdr:
         reading.hdr_count += static_cast<double>(entry.hdr->count());

@@ -85,25 +85,4 @@ std::string Samples::summary() const {
   return os.str();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (bins == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram: need bins>0 and hi>lo");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  std::ptrdiff_t idx =
-      static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
 }  // namespace cadet::util

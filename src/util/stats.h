@@ -1,10 +1,8 @@
 // Statistics accumulators used by the experiment harnesses: running
-// mean/variance (Welford), exact percentiles over stored samples, and a
-// fixed-bin histogram for response-time distributions.
+// mean/variance (Welford) and exact percentiles over stored samples.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -56,26 +54,6 @@ class Samples {
 
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  double bin_low(std::size_t i) const noexcept;
-  std::uint64_t total() const noexcept { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace cadet::util

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "obs/export.h"
+#include "obs/hdr.h"
 #include "obs/metrics.h"
 
 namespace cadet::obs {
@@ -20,7 +21,9 @@ void fill(Registry& reg) {
   reg.counter("cadet_test_requests", tier_labels("edge", 100)).inc(7);
   reg.counter("cadet_test_requests", tier_labels("edge", 101)).inc(2);
   reg.gauge("cadet_test_depth").set(-3);
-  reg.histogram("cadet_test_latency_seconds", {}, {0.5, 1.0}).observe(0.75);
+  HdrHistogram& latency = reg.hdr("cadet_test_latency_seconds");
+  latency.record(0.25);
+  latency.record(0.75);
 }
 
 TEST(PromRoundTrip, SamplesAndTypesSurvive) {
@@ -36,7 +39,7 @@ TEST(PromRoundTrip, SamplesAndTypesSurvive) {
   EXPECT_EQ(parsed.types[1].second, "histogram");
   EXPECT_EQ(parsed.types[2].second, "counter");
 
-  // 1 gauge + (3 buckets + sum + count) + 2 counters = 8 samples.
+  // 1 gauge + (2 populated cells + Inf + sum + count) + 2 counters = 8.
   ASSERT_EQ(parsed.samples.size(), 8u);
   EXPECT_EQ(parsed.samples[0].name, "cadet_test_depth");
   EXPECT_EQ(parsed.samples[0].value, -3.0);
@@ -51,7 +54,7 @@ TEST(PromRoundTrip, SamplesAndTypesSurvive) {
   ASSERT_EQ(inf_bucket.labels.size(), 1u);
   EXPECT_EQ(inf_bucket.labels[0].first, "le");
   EXPECT_EQ(inf_bucket.labels[0].second, "+Inf");
-  EXPECT_EQ(inf_bucket.value, 1.0);
+  EXPECT_EQ(inf_bucket.value, 2.0);
 }
 
 TEST(PromRoundTrip, LabelEscapingIsInvertible) {
@@ -98,7 +101,7 @@ TEST(ExportGolden, CsvSnapshotIsPinned) {
   EXPECT_EQ(csv.str(),
             "name,labels,kind,value\n"
             "cadet_test_depth,,gauge,-3\n"
-            "cadet_test_latency_seconds,,histogram,\"1 obs, sum 0.75\"\n"
+            "cadet_test_latency_seconds,,histogram,\"2 obs, sum 1\"\n"
             "cadet_test_requests,node=100;tier=edge,counter,7\n"
             "cadet_test_requests,node=101;tier=edge,counter,2\n");
 }
@@ -106,7 +109,7 @@ TEST(ExportGolden, CsvSnapshotIsPinned) {
 TEST(ExportGolden, JsonSnapshotIsPinned) {
   Registry reg;
   reg.counter("cadet_test_hits", {{"tier", "edge"}}).inc(9);
-  reg.histogram("cadet_test_lat", {}, {0.5}).observe(0.25);
+  reg.hdr("cadet_test_lat").record(0.25);
   EXPECT_EQ(
       to_json(reg),
       "{\"metrics\":["
@@ -114,7 +117,7 @@ TEST(ExportGolden, JsonSnapshotIsPinned) {
       "\"labels\":{\"tier\":\"edge\"},\"value\":9},"
       "{\"name\":\"cadet_test_lat\",\"kind\":\"histogram\",\"labels\":{},"
       "\"count\":1,\"sum\":0.25,\"buckets\":["
-      "{\"le\":0.5,\"count\":1},{\"le\":null,\"count\":0}]}"
+      "{\"le\":0.25165824,\"count\":1}]}"
       "]}");
 }
 

@@ -1,5 +1,5 @@
 // HdrHistogram: log-linear layout maths, quantile precision, saturation,
-// snapshot merging, and the striped-concurrency contract. The
+// snapshot merging, and the concurrent-recorder contract. The
 // HdrContention test doubles as the TSan stress suite (see
 // CMakePresets.json `tsan-metrics`).
 #include <gtest/gtest.h>
@@ -50,10 +50,10 @@ TEST(HdrLayout, SmallValuesAreExact) {
   }
 }
 
-TEST(HdrHistogram, CountSumAndAlias) {
+TEST(HdrHistogram, CountAndSum) {
   HdrHistogram h;
   h.record(0.001);
-  h.observe(0.002);  // Histogram-compatible alias
+  h.record(0.002);
   EXPECT_EQ(h.count(), 2u);
   EXPECT_NEAR(h.sum(), 0.003, 1e-9);
   EXPECT_EQ(h.saturations(), 0u);
@@ -97,6 +97,17 @@ TEST(HdrHistogram, QuantilesWithinLayoutPrecision) {
   }
 }
 
+TEST(HdrHistogram, QuantileEmptyAndDegenerateInputs) {
+  HdrHistogram h;
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // no observations
+  EXPECT_DOUBLE_EQ(h.snapshot().quantile(0.5), 0.0);
+  h.record(0.5);
+  // Out-of-range q clamps into [0, 1] instead of misbehaving.
+  EXPECT_DOUBLE_EQ(h.quantile(-1.0), h.quantile(0.0));
+  EXPECT_DOUBLE_EQ(h.quantile(2.0), h.quantile(1.0));
+  EXPECT_NEAR(h.quantile(2.0), 0.5, 0.5 * 0.04);
+}
+
 TEST(HdrHistogram, CountAbove) {
   HdrHistogram h;
   for (int i = 0; i < 10; ++i) h.record(0.001);
@@ -131,16 +142,6 @@ TEST(HdrSnapshot, MergeRejectsDifferentLayouts) {
   EXPECT_EQ(sa.count, before);
 }
 
-#if CADET_OBS_ENABLED  // the no-obs stub keeps counts but not epochs
-TEST(HdrSnapshot, EpochMonotone) {
-  HdrHistogram h;
-  h.record(0.1);
-  const HdrSnapshot a = h.snapshot();
-  const HdrSnapshot b = h.snapshot();
-  EXPECT_GT(b.epoch, a.epoch);
-}
-#endif  // CADET_OBS_ENABLED
-
 TEST(HdrHistogram, RegistryExportsBuckets) {
   Registry registry;
   HdrHistogram& h = registry.hdr("cadet_demo_seconds");
@@ -154,16 +155,13 @@ TEST(HdrHistogram, RegistryExportsBuckets) {
   EXPECT_NE(text.find("cadet_demo_seconds_count 2"), std::string::npos);
 }
 
-// Striped HDR under concurrent writers + a scraping reader: no lost
+// One HDR under concurrent writers + a scraping reader: no lost
 // observations, snapshots monotone in count.
 #if CADET_OBS_ENABLED
-TEST(HdrHistogram, HdrContentionStripedWritersAndScraper) {
+TEST(HdrHistogram, HdrContentionWritersAndScraper) {
   constexpr int kWriters = 8;
   constexpr int kPerWriter = 10000;
-  HdrConfig config;
-  config.striped = true;
-  HdrHistogram h(config);
-  ASSERT_TRUE(h.striped());
+  HdrHistogram h;
 
   std::atomic<bool> done{false};
   std::thread scraper([&]() {

@@ -6,10 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "net/sim_transport.h"
 #include "obs/hdr.h"
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 #include "obs/slo.h"
+#include "sim/link.h"
+#include "sim/simulator.h"
+#include "util/time.h"
 
 namespace cadet::obs {
 namespace {
@@ -135,6 +138,30 @@ TEST(SloEngine, LatencyBurnUsesOnlyNewObservations) {
   EXPECT_FALSE(cleared[0].firing);
 }
 
+// The link-latency histogram a SimTransport publishes answers threshold
+// queries, so a burn rule on it fires once deliveries run slow.
+TEST(SloEngine, LatencyBurnFiresOnSimTransportLatency) {
+  Registry registry;
+  sim::Simulator simulator;
+  net::SimTransport transport(simulator, 7);
+  transport.bind_metrics(registry);
+  sim::LatencyProfile slow;
+  slow.base = util::from_seconds(0.2);
+  transport.set_default_profile(slow);
+  transport.set_handler(2, [](net::NodeId, util::BytesView, util::SimTime) {});
+  SloEngine engine(&registry);
+  engine.add_rule(
+      *parse_slo_rule("burn:slow_link:cadet_net_latency_seconds:0.1:0.5:1"));
+
+  for (int i = 0; i < 10; ++i) transport.send(1, 2, util::Bytes(16));
+  simulator.run();
+  const auto fired = engine.tick(1.0);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_TRUE(fired[0].firing);
+  EXPECT_EQ(fired[0].rule, "slow_link");
+  EXPECT_NEAR(fired[0].value, 1.0, 1e-9);
+}
+
 TEST(SloEngine, RatioRuleUsesCounterDeltas) {
   Registry registry;
   Counter& retries = registry.counter("retries");
@@ -155,7 +182,7 @@ TEST(SloEngine, RatioRuleUsesCounterDeltas) {
 
 TEST(SloEngine, CounterRateIsPerSecond) {
   Registry registry;
-  ShardedCounter& drops = registry.sharded_counter("drops");
+  Counter& drops = registry.counter("drops");
   SloEngine engine(&registry);
   engine.add_rule(*parse_slo_rule("rate:spike:drops:0:100:1"));
 
